@@ -16,6 +16,7 @@ from repro.sim.kernel import Simulator
 from repro.topology.builders import random_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
+from repro.topology.model import TopologyModel
 from repro.topology.network import Topology
 
 from helpers import QueueNode, SaturatedSender
@@ -63,7 +64,7 @@ def _build_fluid_network(backlog_per_link: int):
     """A dense 20-node fluid network with every link backlogged."""
     topology = random_topology(20, width=900.0, height=900.0, seed=9)
     sim = Simulator(seed=1)
-    mac = FluidMac(sim, topology, capacity_pps=500.0)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=500.0)
     nodes = {}
     for node_id in topology.node_ids:
         nodes[node_id] = QueueNode(node_id)
@@ -112,7 +113,7 @@ def test_fluid_simulated_second(benchmark):
     def run():
         topology = random_topology(12, width=900.0, height=900.0, seed=4)
         sim = Simulator(seed=1)
-        mac = FluidMac(sim, topology, capacity_pps=500.0)
+        mac = FluidMac(sim, TopologyModel(topology), capacity_pps=500.0)
         nodes = {}
         for node_id in topology.node_ids:
             nodes[node_id] = QueueNode(node_id)

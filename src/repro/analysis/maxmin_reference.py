@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.errors import AnalysisError
 from repro.flows.flow import FlowSet
 from repro.routing.table import RouteSet
-from repro.topology.cliques import Clique, link_clique_index
+from repro.topology.cliques import Clique, clique_index_positions
 from repro.topology.network import Link
 
 _EPSILON = 1e-9
@@ -81,7 +81,7 @@ def weighted_maxmin_rates(
     # Traversal counts: how many units of clique C one packet of flow f
     # consumes (= number of f's path links inside C).  Counted through
     # the link→clique index instead of scanning every clique per flow.
-    link_index = link_clique_index(cliques)
+    positions = clique_index_positions(cliques)
     traversals: dict[int, dict[tuple[int, int], int]] = {}
     for flow in flows:
         path = [
@@ -90,7 +90,8 @@ def weighted_maxmin_rates(
         ]
         counts: dict[tuple[int, int], int] = {}
         for a_link in path:
-            for clique_id in link_index.get(a_link, ()):
+            for index in positions.get(a_link, ()):
+                clique_id = cliques[index].clique_id
                 counts[clique_id] = counts.get(clique_id, 0) + 1
         traversals[flow.flow_id] = counts
 

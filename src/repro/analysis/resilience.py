@@ -27,8 +27,7 @@ from repro.analysis.maxmin_reference import weighted_maxmin_rates
 from repro.errors import AnalysisError
 from repro.flows.flow import Flow, FlowSet
 from repro.routing.link_state import link_state_routes
-from repro.topology.cliques import maximal_cliques
-from repro.topology.contention import ContentionGraph
+from repro.topology.model import TopologyModel
 from repro.topology.network import Topology
 
 
@@ -391,9 +390,8 @@ def surviving_maxmin_reference(
     if not alive:
         return reference
 
-    cliques = maximal_cliques(ContentionGraph(survivor))
     solution = weighted_maxmin_rates(
-        FlowSet(alive), routes, cliques, capacity
+        FlowSet(alive), routes, TopologyModel(survivor).cliques, capacity
     )
     reference.update(solution.rates)
     return reference

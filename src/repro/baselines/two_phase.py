@@ -30,7 +30,7 @@ from repro.baselines.lp import maximize_total_extra
 from repro.errors import AnalysisError
 from repro.flows.flow import FlowSet
 from repro.routing.table import RouteSet
-from repro.topology.cliques import Clique, link_clique_index
+from repro.topology.cliques import Clique, clique_index_positions
 from repro.topology.network import Link
 
 
@@ -78,7 +78,7 @@ def two_phase_rates(
         raise AnalysisError("clique capacities must be positive")
 
     flow_ids = [flow.flow_id for flow in flows]
-    link_index = link_clique_index(cliques)
+    positions = clique_index_positions(cliques)
     traversals: dict[int, dict[tuple[int, int], int]] = {}
     for flow in flows:
         path = [
@@ -87,7 +87,8 @@ def two_phase_rates(
         ]
         counts: dict[tuple[int, int], int] = {}
         for a_link in path:
-            for clique_id in link_index.get(a_link, ()):
+            for index in positions.get(a_link, ()):
+                clique_id = cliques[index].clique_id
                 counts[clique_id] = counts.get(clique_id, 0) + 1
         traversals[flow.flow_id] = counts
 

@@ -49,9 +49,8 @@ from repro.mac.base import MacLayer
 from repro.routing.table import RouteSet
 from repro.sim.kernel import Simulator
 from repro.stack import NodeStack
-from repro.topology.cliques import Clique, maximal_cliques
-from repro.topology.contention import ContentionGraph
-from repro.topology.network import Link, Topology
+from repro.topology.model import TopologyModel
+from repro.topology.network import Link
 
 
 def _canonical(a_link: Link) -> Link:
@@ -104,7 +103,7 @@ class GmpProtocol:
     def __init__(
         self,
         sim: Simulator,
-        topology: Topology,
+        model: TopologyModel,
         routes: RouteSet,
         flows: FlowSet,
         mac: MacLayer,
@@ -113,19 +112,16 @@ class GmpProtocol:
         config: GmpConfig | None = None,
     ) -> None:
         self.sim = sim
-        self.topology = topology
+        self.model = model
+        self.topology = model.topology
         self.flows = flows
         self.mac = mac
         self.stacks = stacks
         self.config = config or GmpConfig()
         self.gvn = GrandVirtualNetwork(routes, flows)
-        self.graph = ContentionGraph(topology)
-        self.scope = DisseminationScope(topology, self.graph)
-        self.cliques = maximal_cliques(self.graph)
-        self._link_cliques: dict[Link, list[Clique]] = {}
-        for clique in self.cliques:
-            for member in clique.links:
-                self._link_cliques.setdefault(member, []).append(clique)
+        self.scope = DisseminationScope(model.topology, model.contention)
+        self.cliques = model.cliques
+        self._memberships = model.memberships
 
         self._trackers: dict[int, MuTracker] = {
             node: MuTracker() for node in stacks
@@ -743,8 +739,7 @@ class GmpProtocol:
 
         violations: list[BandwidthViolation] = []
         for a_link in sorted(bw_by_link):
-            canon = _canonical(a_link)
-            cliques = self._link_cliques.get(canon, [])
+            cliques = [self.cliques[i] for i in self._memberships.get(a_link, ())]
             clique_occ = {
                 clique.clique_id: sum(
                     occupancy.get(member, 0.0) for member in clique.links
@@ -813,9 +808,8 @@ class GmpProtocol:
                 continue
             a_link = (node, next_hop)
             vlink = (a_link, dest)
-            canon = _canonical(a_link)
             clique_ids = frozenset(
-                clique.clique_id for clique in self._link_cliques.get(canon, [])
+                self.cliques[i].clique_id for i in self._memberships.get(a_link, ())
             )
             views.append(
                 AdjacentVirtualLinkView(

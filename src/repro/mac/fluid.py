@@ -24,9 +24,9 @@ from repro.errors import ConfigError, MacError
 from repro.mac.base import MacLayer, NodeServices
 from repro.mac.phy import DEFAULT_PHY, PhyProfile
 from repro.sim.kernel import Simulator
-from repro.topology.cliques import Clique, clique_index_positions, maximal_cliques
-from repro.topology.contention import ContentionGraph
-from repro.topology.network import Link, Topology
+from repro.topology.cliques import Clique, clique_index_positions
+from repro.topology.model import TopologyModel
+from repro.topology.network import Link
 
 _EPSILON = 1e-9
 
@@ -162,7 +162,8 @@ class FluidMac(MacLayer):
 
     Args:
         sim: simulation kernel.
-        topology: the wireless network.
+        model: the wireless network's shared clique-capacity model
+            (its ``topology``, cliques and link→clique index).
         round_interval: seconds between allocation/transfer rounds.
         capacity_pps: packet exchanges per second a clique serializes;
             defaults to the PHY saturation rate for ``packet_bytes``
@@ -171,9 +172,6 @@ class FluidMac(MacLayer):
         phy: PHY profile used for the capacity default.
         packet_bytes: payload size for the capacity default.
         rate_caps: optional per-directed-link rate ceilings.
-        cliques: precomputed maximal contention cliques for
-            ``topology`` (skips the enumeration when the caller — e.g.
-            the scenario runner — already has them).
         alloc_cache: memoize demand→allocation solutions (bit-identical
             results; disable only to exercise the uncached path).
     """
@@ -181,20 +179,20 @@ class FluidMac(MacLayer):
     def __init__(
         self,
         sim: Simulator,
-        topology: Topology,
+        model: TopologyModel,
         *,
         round_interval: float = 0.02,
         capacity_pps: float | None = None,
         phy: PhyProfile = DEFAULT_PHY,
         packet_bytes: int = 1024,
         rate_caps: dict[Link, float] | None = None,
-        cliques: list[Clique] | None = None,
         alloc_cache: bool = True,
     ) -> None:
         if round_interval <= 0:
             raise ConfigError(f"round interval must be positive: {round_interval}")
         self.sim = sim
-        self.topology = topology
+        self.model = model
+        self.topology = model.topology
         self.round_interval = round_interval
         if capacity_pps is None:
             capacity_pps = phy.saturation_rate(packet_bytes, contenders=3)
@@ -202,11 +200,7 @@ class FluidMac(MacLayer):
             raise ConfigError(f"capacity must be positive: {capacity_pps}")
         self.capacity_pps = capacity_pps
         self.rate_caps = dict(rate_caps or {})
-        if cliques is None:
-            self._graph = ContentionGraph(topology)
-            self._cliques = maximal_cliques(self._graph)
-        else:
-            self._cliques = list(cliques)
+        self._cliques = model.cliques
         self._services: dict[int, NodeServices] = {}
         self._sorted_nodes: list[int] = []
         self._credit: dict[Link, float] = {}
@@ -226,12 +220,11 @@ class FluidMac(MacLayer):
         self._tm = sim.telemetry if sim.telemetry.enabled else None
         self._rate_series: dict[Link, object] = {}
         self._active_links: set[Link] = set()
-        # Incremental allocation machinery: per-link clique membership
-        # (computed lazily per directed link), a demand→allocation memo,
-        # and a dirty/idle pair that lets fully quiescent rounds return
-        # immediately (see docs/PERFORMANCE.md for the exactness
-        # argument).
-        self._memberships: dict[Link, tuple[int, ...]] = {}
+        # Incremental allocation machinery: the model's per-directed-link
+        # clique membership, a demand→allocation memo, and a dirty/idle
+        # pair that lets fully quiescent rounds return immediately (see
+        # docs/PERFORMANCE.md for the exactness argument).
+        self._memberships = model.memberships
         self._alloc_cache_enabled = alloc_cache
         self._alloc_cache: dict[object, dict[Link, float]] = {}
         self.alloc_cache_hits = 0
@@ -270,13 +263,6 @@ class FluidMac(MacLayer):
         if self._started:
             raise MacError("FluidMac already started")
         self._started = True
-        # Pre-warm the per-link clique memberships for every directed
-        # topology link so the per-round clamp test is a plain dict hit
-        # (links a buffer reports outside the topology still fall back
-        # to the lazy path in the solver).
-        for node_id in self.topology.node_ids:
-            for neighbor in self.topology.neighbors(node_id):
-                self._memberships_for((node_id, neighbor))
         self.sim.every(self.round_interval, self._round, tag="fluid.round")
 
     def notify_backlog(self, node_id: int) -> None:
@@ -363,55 +349,20 @@ class FluidMac(MacLayer):
 
     # --- round machinery ------------------------------------------------------------
 
-    def _memberships_for(self, a_link: Link) -> tuple[int, ...]:
-        """Indices of the cliques containing ``a_link`` (lazily cached;
-        the topology — hence the clique set — is fixed for a run)."""
-        clique_ids = self._memberships.get(a_link)
-        if clique_ids is None:
-            clique_ids = tuple(
-                index
-                for index, clique in enumerate(self._cliques)
-                if a_link in clique
-            )
-            self._memberships[a_link] = clique_ids
-        return clique_ids
-
-    def _allocate(self, demands: dict[Link, float]) -> dict[Link, float]:
-        """Water-fill ``demands``, memoizing on the quantized demand
-        vector and the effective caps.
-
-        Demands of clique-member links are clamped at ``capacity_pps``
-        before keying/solving: any demand at or above the clique
-        capacity yields the identical allocation (the link's limit term
-        can never undercut its clique's share term), so deep queues that
-        only differ in backlog depth collapse onto one cache entry.
-        Links outside every clique are never clamped — their limit is
-        the only thing bounding them.
-        """
-        caps = self._effective_caps()
-        capacity = self.capacity_pps
-        # Memberships are pre-warmed for all topology links at start();
-        # a link absent from the map is simply left unclamped, which
-        # yields the same allocation (clamping is a pure cache-key
-        # normalization) at worst costing one extra cache entry.
-        memberships_map = self._memberships
-        quantized = [
-            (
-                a_link,
-                capacity
-                if demand > capacity and memberships_map.get(a_link)
-                else demand,
-            )
-            for a_link, demand in demands.items()
-        ]
-        return self._allocate_quantized(quantized)
-
     def _allocate_quantized(
         self, quantized: list[tuple[Link, float]]
     ) -> dict[Link, float]:
         """Solve (or recall) the allocation for an already-clamped
         ``(link, demand)`` vector — the round loop builds the vector
-        inline while polling eligibility, so it lands here directly."""
+        inline while polling eligibility, so it lands here directly.
+
+        The round loop clamps clique-member demands at
+        ``capacity_pps``: any demand at or above the clique capacity
+        yields the identical allocation (the link's limit term can never
+        undercut its clique's share term), so deep queues that only
+        differ in backlog depth collapse onto one cache entry.  Links
+        outside every clique are never clamped.
+        """
         caps = self._effective_caps()
         capacity = self.capacity_pps
         if not self._alloc_cache_enabled:
@@ -433,7 +384,7 @@ class FluidMac(MacLayer):
             if demand > _EPSILON:
                 active.append(a_link)
                 limits.append(min(demand, caps.get(a_link, math.inf)))
-                memberships.append(self._memberships_for(a_link))
+                memberships.append(self._memberships.get(a_link, ()))
         alloc = dict(zip(active, _waterfill_core(limits, memberships, capacity)))
         self.alloc_cache_misses += 1
         if self._miss_counter is not None:

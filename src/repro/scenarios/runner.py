@@ -21,9 +21,9 @@ Protocols:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from repro.analysis.maxmin_reference import weighted_maxmin_rates
+from repro.analysis.maxmin_reference import MaxminSolution, weighted_maxmin_rates
 from repro.analysis.resilience import per_arrival_convergence
 from repro.analysis.throughput import effective_network_throughput
 from repro.baselines.dcf_plain import plain_dcf_buffer
@@ -65,8 +65,7 @@ from repro.sim.replay import ReplayReport, ReplaySanitizer, diff_sanitizers
 from repro.sim.trace import TraceCollector
 from repro.stack import NodeStack
 from repro.telemetry import Telemetry
-from repro.topology.cliques import maximal_cliques
-from repro.topology.contention import ContentionGraph
+from repro.topology.model import TopologyModel
 
 TRAFFIC_MODELS = {
     "cbr": CbrSource,
@@ -122,7 +121,8 @@ class LiveRunHandle:
         stream: Any,
         health: Any,
         capacity_pps: float,
-        cliques: Any,
+        model: TopologyModel,
+        maxmin_reference: Callable[[], MaxminSolution],
         warm_counts: dict[int, int],
         interval_rates: dict[int, list[float]],
         interval_bounds: list[float],
@@ -146,11 +146,11 @@ class LiveRunHandle:
         self.stream = stream
         self.health = health
         self.capacity_pps = capacity_pps
-        self._cliques = cliques  # zero-arg callable (lazy shared cache)
+        self.model = model
+        self._maxmin_reference = maxmin_reference  # memoized by the runner
         self._warm_counts = warm_counts
         self._interval_rates = interval_rates
         self._interval_bounds = interval_bounds
-        self._maxmin_cache: dict[str, Any] = {}
 
     # --- status reads -----------------------------------------------------------
 
@@ -247,19 +247,11 @@ class LiveRunHandle:
             for flow_id, flow in sorted(self.all_flows.items())
         }
         if self.gmp is not None:
-            key = tuple(sorted(flow.flow_id for flow in self.flows))
-            if self._maxmin_cache.get("key") != key:
-                solution = weighted_maxmin_rates(
-                    self.flows, self.routes, self._cliques(), self.capacity_pps
-                )
-                self._maxmin_cache["key"] = key
-                self._maxmin_cache["solution"] = solution
-            extras["maxmin_solution"] = self._maxmin_cache["solution"]
-            extras["maxmin_reference"] = dict(
-                self._maxmin_cache["solution"].rates
-            )
+            solution = self._maxmin_reference()
+            extras["maxmin_solution"] = solution
+            extras["maxmin_reference"] = dict(solution.rates)
             extras["rate_limits"] = self.gmp.rate_limits()
-        extras["cliques"] = self._cliques()
+        extras["cliques"] = self.model.cliques
         extras["capacity_pps"] = self.capacity_pps
         return RunResult(
             scenario=self.scenario.name,
@@ -527,26 +519,19 @@ def run_scenario(
         packet_bytes = max(flow.packet_bytes for flow in flows)
         capacity_pps = phy.saturation_rate(packet_bytes, contenders=3)
 
-    # The maximal-clique enumeration is shared by every consumer of the
-    # clique-capacity model (fluid MAC, 2PP, maxmin reference) and is
-    # computed lazily at most once per run.
-    cliques_cache: list = []
-
-    def topology_cliques():
-        if not cliques_cache:
-            cliques_cache.append(maximal_cliques(ContentionGraph(topology)))
-        return cliques_cache[0]
+    # One clique-capacity model per run, shared by every consumer (fluid
+    # MAC, GMP, 2PP, maxmin reference); each part is built on first use.
+    model = TopologyModel(topology)
 
     if substrate == "dcf":
         mac = DcfMac(sim, topology, phy=phy, config=dcf_config or DcfConfig())
     else:
         mac = FluidMac(
             sim,
-            topology,
+            model,
             round_interval=fluid_round,
             capacity_pps=capacity_pps,
             rate_caps=scenario.rate_caps,
-            cliques=topology_cliques(),
         )
 
     stacks: dict[int, NodeStack] = {}
@@ -595,7 +580,7 @@ def run_scenario(
     gmp: GmpProtocol | None = None
     if protocol == "gmp":
         gmp = GmpProtocol(
-            sim, topology, routes, flows, mac, stacks, config=gmp_config
+            sim, model, routes, flows, mac, stacks, config=gmp_config
         )
         for stack in stacks.values():
             stack.observer = gmp.observer()
@@ -612,7 +597,7 @@ def run_scenario(
 
     extras: dict[str, object] = {}
     if protocol == "2pp":
-        allocation = two_phase_rates(flows, routes, topology_cliques(), capacity_pps)
+        allocation = two_phase_rates(flows, routes, model.cliques, capacity_pps)
         for flow_id, rate in allocation.rates.items():
             sources[flow_id].set_rate_limit(max(rate, 1.0))
         extras["two_phase"] = allocation
@@ -735,28 +720,34 @@ def run_scenario(
             index += 1
         sim.call_at(duration, sample, tag="runner.sample")
 
+    # The maxmin reference over the live flow set, memoized on the flow
+    # ids (ids are never reused, and the solver is deterministic) and
+    # shared by the health snapshots, the live handle and the end of run.
+    maxmin_memo: dict[str, Any] = {}
+
+    def maxmin_reference() -> MaxminSolution:
+        key = tuple(sorted(flow.flow_id for flow in flows))
+        if maxmin_memo.get("key") != key:
+            maxmin_memo["key"] = key
+            maxmin_memo["solution"] = weighted_maxmin_rates(
+                flows, routes, model.cliques, capacity_pps
+            )
+        return maxmin_memo["solution"]
+
     if stream is not None:
         stream.bind(sim)
     if health is not None:
         # The monitor scans a *partial* result each tick.  Everything
         # the snapshot touches is plain live state — no RNG, no event
         # scheduling — so health checks cannot perturb the run.
-        reference_cache: dict[str, Any] = {}
-
         def health_snapshot() -> RunResult:
             snapshot_extras: dict[str, Any] = {}
             if telemetry is not None and telemetry.enabled:
                 snapshot_extras["telemetry"] = telemetry
             if gmp is not None:
-                key = tuple(sorted(flow.flow_id for flow in flows))
-                if reference_cache.get("key") != key:
-                    reference_cache["key"] = key
-                    reference_cache["rates"] = dict(
-                        weighted_maxmin_rates(
-                            flows, routes, topology_cliques(), capacity_pps
-                        ).rates
-                    )
-                snapshot_extras["maxmin_reference"] = reference_cache["rates"]
+                snapshot_extras["maxmin_reference"] = dict(
+                    maxmin_reference().rates
+                )
             # duration is the *planned* duration, not sim.now: the
             # detectors derive their warmup cutoffs and window grids
             # from it, and a fixed grid keeps mid-run findings a prefix
@@ -806,7 +797,8 @@ def run_scenario(
             stream=stream,
             health=health,
             capacity_pps=capacity_pps,
-            cliques=topology_cliques,
+            model=model,
+            maxmin_reference=maxmin_reference,
             warm_counts=warm_counts,
             interval_rates=interval_rates,
             interval_bounds=interval_bounds,
@@ -842,18 +834,13 @@ def run_scenario(
         )
         extras["telemetry"] = telemetry
         if gmp is not None:
-            reference = weighted_maxmin_rates(
-                flows,
-                routes,
-                topology_cliques(),
-                capacity_pps,
-            )
+            reference = maxmin_reference()
             extras["maxmin_reference"] = dict(reference.rates)
             # The full solution (bottleneck clique per flow, clique
             # usage) plus the clique list and capacity feed the
             # per-flow rate explainer (repro.fidelity.explain).
             extras["maxmin_solution"] = reference
-            extras["cliques"] = topology_cliques()
+            extras["cliques"] = model.cliques
             extras["capacity_pps"] = capacity_pps
     if trace is not None:
         extras["trace"] = trace

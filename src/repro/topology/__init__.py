@@ -2,8 +2,9 @@
 
 Models a static multihop wireless network: node placement, range-based
 link derivation, one/two-hop neighborhoods, greedy minimum dominating
-sets (used by GMP's dissemination), the link contention graph, and
-maximal ("proper") contention cliques.
+sets (used by GMP's dissemination), the link contention graph,
+maximal ("proper") contention cliques, and the per-topology model that
+builds the last two once and shares them.
 """
 
 from repro.topology.builders import (
@@ -16,6 +17,7 @@ from repro.topology.builders import (
 from repro.topology.cliques import Clique, maximal_cliques
 from repro.topology.contention import ContentionGraph, links_contend
 from repro.topology.dominating import dominating_set
+from repro.topology.model import TopologyModel
 from repro.topology.neighbors import one_hop_neighbors, two_hop_neighbors
 from repro.topology.network import Link, Topology, link, reverse
 from repro.topology.node import Node
@@ -40,4 +42,5 @@ __all__ = [
     "links_contend",
     "Clique",
     "maximal_cliques",
+    "TopologyModel",
 ]

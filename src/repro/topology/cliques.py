@@ -202,35 +202,15 @@ def maximal_cliques(graph: ContentionGraph) -> list[Clique]:
     return cliques
 
 
-def cliques_of_link(cliques: list[Clique], a_link: Link) -> list[Clique]:
-    """The subset of ``cliques`` containing ``a_link``."""
-    return [clique for clique in cliques if a_link in clique]
-
-
-def link_clique_index(
-    cliques: list[Clique],
-) -> dict[Link, tuple[tuple[int, int], ...]]:
-    """Map each canonical link to the ids of the cliques containing it.
-
-    Solvers that repeatedly ask "which cliques does this link cross?"
-    (water-filling, traversal counting) build this once instead of
-    scanning every clique per link; ids are in clique order.
-    """
-    lists: dict[Link, list[tuple[int, int]]] = defaultdict(list)
-    for clique in cliques:
-        for a_link in clique.sorted_links():
-            lists[a_link].append(clique.clique_id)
-    return {a_link: tuple(ids) for a_link, ids in lists.items()}
-
-
 def clique_index_positions(cliques: list[Clique]) -> dict[Link, tuple[int, ...]]:
     """Map each canonical link to the *positions* (indices into
     ``cliques``) of the cliques containing it, ascending.
 
-    This is the index behind the hot-path water-filling: looking a
-    directed link up here (after canonicalizing) yields exactly the
-    tuple that scanning ``enumerate(cliques)`` with ``a_link in
-    clique`` would, without the per-link O(cliques) rescan.
+    This is the one link→clique index: the water-filling solvers, the
+    maxmin reference, 2PP and :class:`~repro.topology.model.TopologyModel`
+    all read it.  Looking a link up here (after canonicalizing) yields
+    exactly the tuple that scanning ``enumerate(cliques)`` with
+    ``a_link in clique`` would, without the per-link O(cliques) rescan.
     """
     positions: dict[Link, list[int]] = defaultdict(list)
     for index, clique in enumerate(cliques):

@@ -30,6 +30,7 @@ from repro.scenarios.figures import figure3
 from repro.scenarios.runner import replay_check, run_scenario
 from repro.sim.rng import RngRegistry
 from repro.topology.builders import chain_topology
+from repro.topology.model import TopologyModel
 
 FAST = GmpConfig(period=0.5, additive_increase=4.0)
 
@@ -256,8 +257,9 @@ def gmp_fixture():
     routes = link_state_routes(topology)
     flows = FlowSet([Flow(flow_id=1, source=0, destination=3)])
     sim = Simulator()
-    mac = FluidMac(sim, topology, capacity_pps=100.0)
-    protocol = GmpProtocol(sim, topology, routes, flows, mac, stacks={})
+    model = TopologyModel(topology)
+    mac = FluidMac(sim, model, capacity_pps=100.0)
+    protocol = GmpProtocol(sim, model, routes, flows, mac, stacks={})
     return sim, flows, protocol
 
 

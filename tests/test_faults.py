@@ -20,6 +20,7 @@ from repro.mac.channel import Channel
 from repro.scenarios.figures import figure3
 from repro.scenarios.runner import run_scenario
 from repro.sim.kernel import Simulator
+from repro.topology.model import TopologyModel
 from repro.topology.network import Topology
 
 FAST = GmpConfig(period=0.5, additive_increase=4.0)
@@ -344,7 +345,7 @@ def test_stack_crash_twice_raises():
     sim = Simulator()
     topology = Topology()
     topology.add_nodes([(0.0, 0.0), (100.0, 0.0)])
-    mac = FluidMac(sim, topology)
+    mac = FluidMac(sim, TopologyModel(topology))
     gate = OracleGate(lambda neighbor, dest: True)
     stack = NodeStack(
         sim, 0,

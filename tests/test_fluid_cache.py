@@ -13,6 +13,7 @@ from repro.sim.kernel import Simulator
 from repro.topology.builders import random_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
+from repro.topology.model import TopologyModel
 from repro.topology.network import Topology
 
 from helpers import QueueNode
@@ -37,7 +38,7 @@ def _packet(flow_id: int, source: int, destination: int) -> Packet:
 def _run_dense(alloc_cache: bool, backlog: int = 40):
     topology = random_topology(12, width=900.0, height=900.0, seed=4)
     sim = Simulator(seed=1)
-    mac = FluidMac(sim, topology, capacity_pps=500.0, alloc_cache=alloc_cache)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=500.0, alloc_cache=alloc_cache)
     nodes = {}
     for node_id in topology.node_ids:
         nodes[node_id] = QueueNode(node_id)
@@ -74,7 +75,7 @@ def test_alloc_cache_is_transparent():
 def test_idle_rounds_are_skipped_and_backlog_wakes():
     topology = _line_topology(2)
     sim = Simulator(seed=1)
-    mac = FluidMac(sim, topology, capacity_pps=500.0)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=500.0)
     nodes = {0: QueueNode(0), 1: QueueNode(1)}
     mac.attach_node(0, nodes[0].services())
     mac.attach_node(1, nodes[1].services())
@@ -102,7 +103,7 @@ def test_idle_skip_requires_has_pending_everywhere():
     # quiescent; the substrate must then keep polling every round.
     topology = _line_topology(2)
     sim = Simulator(seed=1)
-    mac = FluidMac(sim, topology, capacity_pps=500.0)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=500.0)
     probed = QueueNode(0)
     blind = QueueNode(1)
     blind_services = blind.services()
@@ -136,7 +137,7 @@ def test_cache_counters_reach_telemetry():
 
     topology = _line_topology(2)
     sim = Simulator(seed=1, telemetry=Telemetry(enabled=True))
-    mac = FluidMac(sim, topology, capacity_pps=500.0)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=500.0)
     nodes = {0: QueueNode(0), 1: QueueNode(1)}
     mac.attach_node(0, nodes[0].services())
     mac.attach_node(1, nodes[1].services())

@@ -18,6 +18,7 @@ from repro.scenarios.runner import run_scenario
 from repro.topology.builders import chain_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
+from repro.topology.model import TopologyModel
 
 FAST = GmpConfig(period=0.5, additive_increase=4.0)
 
@@ -102,8 +103,9 @@ def test_protocol_requires_registered_sources():
     from repro.sim.kernel import Simulator
 
     sim = Simulator()
-    mac = FluidMac(sim, topology, capacity_pps=100.0)
-    protocol = GmpProtocol(sim, topology, routes, flows, mac, stacks={})
+    model = TopologyModel(topology)
+    mac = FluidMac(sim, model, capacity_pps=100.0)
+    protocol = GmpProtocol(sim, model, routes, flows, mac, stacks={})
     with pytest.raises(ProtocolError):
         protocol.start()
 
@@ -117,8 +119,9 @@ def test_register_source_twice_rejected():
     from repro.flows.traffic import CbrSource
 
     sim = Simulator()
-    mac = FluidMac(sim, topology, capacity_pps=100.0)
-    protocol = GmpProtocol(sim, topology, routes, flows, mac, stacks={})
+    model = TopologyModel(topology)
+    mac = FluidMac(sim, model, capacity_pps=100.0)
+    protocol = GmpProtocol(sim, model, routes, flows, mac, stacks={})
     source = CbrSource(sim, flows.get(1), lambda packet: True)
     protocol.register_source(1, source)
     with pytest.raises(ProtocolError):

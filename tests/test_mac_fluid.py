@@ -11,6 +11,7 @@ from repro.sim.kernel import Simulator
 from repro.topology.builders import chain_topology, random_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
+from repro.topology.model import TopologyModel
 from repro.topology.network import Topology
 
 from helpers import QueueNode
@@ -146,7 +147,7 @@ def build_fluid_pair(capacity=500.0, interval=0.01):
     topology = Topology()
     topology.add_nodes([(0.0, 0.0), (200.0, 0.0)])
     sim = Simulator(seed=1)
-    mac = FluidMac(sim, topology, capacity_pps=capacity, round_interval=interval)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=capacity, round_interval=interval)
     sender = QueueNode(0)
     sink = QueueNode(1)
     mac.attach_node(0, sender.services())
@@ -184,7 +185,7 @@ def test_fluid_respects_backlog():
 def test_fluid_contending_links_share():
     chain = chain_topology(3, spacing=200.0)
     sim = Simulator(seed=1)
-    mac = FluidMac(sim, chain, capacity_pps=400.0)
+    mac = FluidMac(sim, TopologyModel(chain), capacity_pps=400.0)
     nodes = {node_id: QueueNode(node_id) for node_id in range(3)}
     for node_id, node in nodes.items():
         mac.attach_node(node_id, node.services())
@@ -203,7 +204,7 @@ def test_fluid_rate_caps_apply():
     sim_topology.add_nodes([(0.0, 0.0), (200.0, 0.0)])
     sim = Simulator(seed=1)
     mac = FluidMac(
-        sim, sim_topology, capacity_pps=500.0, rate_caps={(0, 1): 50.0}
+        sim, TopologyModel(sim_topology), capacity_pps=500.0, rate_caps={(0, 1): 50.0}
     )
     sender = QueueNode(0)
     sink = QueueNode(1)
@@ -229,7 +230,7 @@ def test_fluid_occupancy_attributed_to_sender():
 def test_fluid_requires_batch_accessors():
     topology = chain_topology(2)
     sim = Simulator()
-    mac = FluidMac(sim, topology)
+    mac = FluidMac(sim, TopologyModel(topology))
     from repro.mac.base import NodeServices
 
     with pytest.raises(MacError):
@@ -245,9 +246,9 @@ def test_fluid_config_validation():
     topology = chain_topology(2)
     sim = Simulator()
     with pytest.raises(ConfigError):
-        FluidMac(sim, topology, round_interval=0.0)
+        FluidMac(sim, TopologyModel(topology), round_interval=0.0)
     with pytest.raises(ConfigError):
-        FluidMac(sim, topology, capacity_pps=-5.0)
+        FluidMac(sim, TopologyModel(topology), capacity_pps=-5.0)
 
 
 def test_fluid_double_start_rejected():

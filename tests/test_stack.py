@@ -13,13 +13,14 @@ from repro.routing.link_state import link_state_routes
 from repro.sim.kernel import Simulator
 from repro.stack import NodeStack
 from repro.topology.builders import chain_topology
+from repro.topology.model import TopologyModel
 
 
 def build_chain_stacks(num_nodes=3, capacity=5, capacity_pps=200.0):
     topology = chain_topology(num_nodes)
     routes = link_state_routes(topology)
     sim = Simulator(seed=2)
-    mac = FluidMac(sim, topology, capacity_pps=capacity_pps, round_interval=0.01)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=capacity_pps, round_interval=0.01)
     stacks = {}
 
     def lookup(neighbor, dest):
@@ -112,7 +113,7 @@ def test_shared_fifo_stack_drops_on_overload():
     topology = chain_topology(3)
     routes = link_state_routes(topology)
     sim = Simulator(seed=2)
-    mac = FluidMac(sim, topology, capacity_pps=50.0, round_interval=0.01)
+    mac = FluidMac(sim, TopologyModel(topology), capacity_pps=50.0, round_interval=0.01)
     stacks = {}
     for node_id in topology.node_ids:
         buffer = SharedFifoBuffer(

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.builders import chain_topology, random_topology
-from repro.topology.cliques import cliques_of_link, maximal_cliques
+from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph, links_contend
+from repro.topology.model import TopologyModel
 from repro.topology.network import Topology
 
 
@@ -103,10 +104,9 @@ def test_clique_membership_ignores_direction():
 
 
 def test_cliques_of_link_filters():
-    chain = chain_topology(10, spacing=200.0)
-    graph = ContentionGraph(chain)
-    cliques = maximal_cliques(graph)
-    for clique in cliques_of_link(cliques, (0, 1)):
+    model = TopologyModel(chain_topology(10, spacing=200.0))
+    for position in model.memberships[(0, 1)]:
+        clique = model.cliques[position]
         assert (0, 1) in clique
 
 
