@@ -11,6 +11,15 @@ process.  Three are available on :meth:`Simulator.run`:
   clock advancing; on trip the error names the offending event tags;
 * ``wall_deadline`` — real (wall-clock) seconds the run may take.
 
+Dispatch: one loop serves every configuration.  Events are popped in
+batches of at most ``_BATCH_LIMIT``; pacing and the wall deadline are
+checked once per batch, the stall counter, the event budget and monitor
+due times once per event.  Batched dispatch is observationally
+identical to one-at-a-time dispatch: a batch member cancelled by an
+earlier callback is skipped, and the undispatched tail is re-queued
+when a callback schedules something that orders first, calls
+:meth:`Simulator.stop`, or raises.
+
 Telemetry: when a :class:`~repro.telemetry.Telemetry` instance is
 attached, :meth:`Simulator.run` counts dispatched events per tag, and
 — with profiling on — measures per-tag handler wall time (totals plus
@@ -35,6 +44,7 @@ from __future__ import annotations
 # clocks deliberately; their readings never feed simulation state (see
 # docs/SIMCHECK.md).
 
+import sys as _sys
 import time as _time
 from bisect import bisect_left
 from collections import Counter
@@ -61,6 +71,12 @@ WALL_TIME_BOUNDS: tuple[float, ...] = tuple(1e-7 * (2**i) for i in range(26))
 #: the value because the loop re-checks order before every dispatch and
 #: parks the unprocessed tail back in the queue when overtaken.
 _BATCH_LIMIT = 128
+
+#: Dispatched tags remembered for stall attribution (a power of two, so
+#: the ring position is a mask of the event count).  A stall error names
+#: the most frequent tags among the last this many stalled events.
+_STALL_RING = 1024
+_STALL_MASK = _STALL_RING - 1
 
 
 class RunMonitor(Protocol):
@@ -191,7 +207,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events currently queued (including tombstones)."""
+        """Number of active events currently queued (cancelled
+        tombstones still in the heap are not counted)."""
         return len(self._queue)
 
     # --- scheduling ---------------------------------------------------------
@@ -337,6 +354,25 @@ class Simulator:
                 pass  # never mask the watchdog diagnosis itself
         return error
 
+    def _stall_message(
+        self, events_at_now: int, recent_tags: list[str], processed: int
+    ) -> str:
+        """Describe a stall: count the tags of the last stalled events
+        (at most ``_STALL_RING``) in dispatch order."""
+        window = min(events_at_now, _STALL_RING)
+        tags = Counter(
+            recent_tags[(processed - back) & _STALL_MASK] or "<untagged>"
+            for back in range(window - 1, -1, -1)
+        )
+        offenders = ", ".join(
+            f"{tag} x{count}" for tag, count in tags.most_common(5)
+        )
+        return (
+            f"simulated clock stalled at t={self._now:.9f}: "
+            f"{events_at_now} events without advancing; "
+            f"offending tags: {offenders}"
+        )
+
     # --- run control --------------------------------------------------------
 
     def stop(self) -> None:
@@ -355,6 +391,9 @@ class Simulator:
     ) -> float:
         """Dispatch events in time order.
 
+        One batched loop serves every configuration (see the module
+        docstring for what is checked per batch and per event).
+
         Args:
             until: stop once the clock would pass this time; the clock
                 is then advanced exactly to ``until``.  ``None`` runs
@@ -363,9 +402,10 @@ class Simulator:
             stall_limit: maximum consecutive events dispatched without
                 the simulated clock advancing.  A model stuck in a
                 zero-delay rescheduling loop trips this; the error
-                names the tags of the stalled events.
-            wall_deadline: real-time budget in seconds; checked
-                periodically, so overshoot is bounded by one batch of
+                names the most frequent tags among the last (at most
+                ``_STALL_RING``) stalled events.
+            wall_deadline: real-time budget in seconds; checked before
+                each batch, so overshoot is bounded by one batch of
                 events, not one event.
             pace: ceiling on simulated seconds advanced per wall-clock
                 second (``pace=20`` runs at most 20x real time; ``None``
@@ -381,7 +421,9 @@ class Simulator:
             SimulationError: on re-entrant ``run`` calls or when a
                 watchdog trips.  The kernel is left in a defined state
                 (clock at the failing event's time, ``run`` callable
-                again) when a watchdog or a callback raises.
+                again) when a watchdog or a callback raises.  The event
+                that trips the stall or budget watchdog counts as
+                processed but is neither dispatched nor re-queued.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
@@ -395,12 +437,17 @@ class Simulator:
             raise SimulationError(f"pace must be positive: {pace}")
         self._running = True
         self._stopped = False
-        wall_start = _time.monotonic() if wall_deadline is not None else 0.0
+        wall_origin = _time.monotonic()
+        # Unset watchdogs compare against a count no run reaches, so the
+        # per-event checks stay integer comparisons.
+        stall_cap = _sys.maxsize if stall_limit is None else stall_limit
+        event_cap = _sys.maxsize if max_events is None else max_events
         events_at_now = 0
-        stalled_tags: Counter[str] = Counter()
+        recent_tags = [""] * _STALL_RING
         telemetry = self.telemetry
         sanitizer = self.sanitizer
         collect = telemetry.enabled
+        observed = collect or sanitizer is not None
         profile = telemetry.profile
         tag_counts: dict[str, int] = {}
         tag_wall: dict[str, float] = {}
@@ -408,8 +455,7 @@ class Simulator:
         wall_bounds = WALL_TIME_BOUNDS
         bucket_width = len(wall_bounds) + 1
         run_events = 0
-        run_start = _time.monotonic() if collect else 0.0
-        window_start = run_start
+        window_start = wall_origin
         throughput = (
             telemetry.registry.series("kernel.events_per_sec_window")
             if collect
@@ -418,87 +464,43 @@ class Simulator:
         queue = self._queue
         batches = 0
         batched_events = 0
-        # Fast path: with every watchdog and observer off, the per-event
-        # work reduces to clock advance + dispatch.
-        fast = (
-            max_events is None
-            and stall_limit is None
-            and wall_deadline is None
-            and pace is None
-            and sanitizer is None
-            and not collect
-            and not self._monitors
-        )
         monitor_due = (
             min(self._monitor_due) if self._monitors else float("inf")
         )
         pace_origin = self._now
-        pace_start = _time.monotonic() if pace is not None else 0.0
         try:
-            if fast:
-                processed = 0
-                try:
-                    while not self._stopped:
-                        batch = queue.pop_batch(_BATCH_LIMIT, until)
-                        if not batch:
-                            break
-                        n = len(batch)
-                        if n == 1:
-                            # Overwhelmingly common shape (a model that
-                            # schedules one event at a time): dispatch
-                            # without the batch bookkeeping.
-                            event = batch[0]
-                            if not event.cancelled:
-                                processed += 1
-                                self._now = event.time
-                                event.callback()
-                            continue
-                        index = 0
-                        try:
-                            while index < n:
-                                event = batch[index]
-                                if event.cancelled:
-                                    index += 1
-                                    continue
-                                if index and queue.first_precedes(event):
-                                    break
-                                index += 1
-                                processed += 1
-                                self._now = event.time
-                                event.callback()
-                                if self._stopped:
-                                    break
-                        finally:
-                            if index < n:
-                                queue.reinject(batch[index:])
-                finally:
-                    self._events_processed += processed
-                if until is not None and not self._stopped and self._now < until:
-                    self._now = until
-                return self._now
             while not self._stopped:
                 batch = queue.pop_batch(_BATCH_LIMIT, until)
                 if not batch:
                     break
-                if pace is not None:
-                    # Throttle before the batch: the head event must not
-                    # run before its wall due time.  Sleeps are chunked
-                    # so an external stop() is honored promptly, and
-                    # overshoot is bounded by one batch of events.
-                    target = (batch[0].time - pace_origin) / pace
-                    while not self._stopped:
-                        lag = target - (_time.monotonic() - pace_start)
-                        if lag <= 0:
-                            break
-                        _time.sleep(min(lag, 0.2))
-                    if self._stopped:
-                        queue.reinject(batch)
-                        break
-                batches += 1
-                batched_events += len(batch)
+                n = len(batch)
                 index = 0
                 try:
-                    while index < len(batch):
+                    if pace is not None:
+                        # Throttle before the batch: the head event must
+                        # not run before its wall due time.  Sleeps are
+                        # chunked so an external stop() is honored
+                        # promptly.
+                        target = (batch[0].time - pace_origin) / pace
+                        while not self._stopped:
+                            lag = target - (_time.monotonic() - wall_origin)
+                            if lag <= 0:
+                                break
+                            _time.sleep(min(lag, 0.2))
+                        if self._stopped:
+                            break
+                    if (
+                        wall_deadline is not None
+                        and _time.monotonic() - wall_origin > wall_deadline
+                    ):
+                        raise self._watchdog_abort(
+                            f"wall-clock deadline of {wall_deadline:g}s "
+                            f"exceeded at t={self._now:.6f} after "
+                            f"{self._events_processed} events"
+                        )
+                    batches += 1
+                    batched_events += n
+                    while index < n:
                         event = batch[index]
                         if event.cancelled:
                             # Cancelled by an earlier callback in this
@@ -513,76 +515,65 @@ class Simulator:
                             break
                         index += 1
                         if event.time > self._now:
+                            self._now = event.time
                             events_at_now = 0
-                            stalled_tags.clear()
-                        self._now = event.time
-                        self._events_processed += 1
                         events_at_now += 1
-                        if stall_limit is not None:
-                            stalled_tags[event.tag or "<untagged>"] += 1
-                            if events_at_now > stall_limit:
-                                offenders = ", ".join(
-                                    f"{tag} x{count}"
-                                    for tag, count in stalled_tags.most_common(5)
+                        processed = self._events_processed + 1
+                        self._events_processed = processed
+                        recent_tags[processed & _STALL_MASK] = event.tag
+                        if events_at_now > stall_cap:
+                            raise self._watchdog_abort(
+                                self._stall_message(
+                                    events_at_now, recent_tags, processed
                                 )
-                                raise self._watchdog_abort(
-                                    f"simulated clock stalled at t={self._now:.9f}: "
-                                    f"{events_at_now} events without advancing; "
-                                    f"offending tags: {offenders}"
-                                )
-                        if (
-                            max_events is not None
-                            and self._events_processed > max_events
-                        ):
+                            )
+                        if processed > event_cap:
                             raise self._watchdog_abort(
                                 f"exceeded max_events={max_events}; runaway model?"
                             )
-                        if (
-                            wall_deadline is not None
-                            and self._events_processed % 512 == 0
-                            and _time.monotonic() - wall_start > wall_deadline
-                        ):
-                            raise self._watchdog_abort(
-                                f"wall-clock deadline of {wall_deadline:g}s "
-                                f"exceeded at t={self._now:.6f} after "
-                                f"{self._events_processed} events"
-                            )
-                        if sanitizer is not None:
-                            sanitizer.observe(
-                                event.time, event.priority, event.tag, event.callback
-                            )
-                        if not collect:
+                        if not observed:
                             event.callback()
                         else:
-                            tag = event.tag or "<untagged>"
-                            tag_counts[tag] = tag_counts.get(tag, 0) + 1
-                            run_events += 1
-                            if profile:
-                                handler_start = _time.perf_counter()
+                            if sanitizer is not None:
+                                sanitizer.observe(
+                                    event.time,
+                                    event.priority,
+                                    event.tag,
+                                    event.callback,
+                                )
+                            if not collect:
                                 event.callback()
-                                duration = (
-                                    _time.perf_counter() - handler_start
-                                )
-                                tag_wall[tag] = (
-                                    tag_wall.get(tag, 0.0) + duration
-                                )
-                                buckets = tag_wall_buckets.get(tag)
-                                if buckets is None:
-                                    buckets = [0] * bucket_width
-                                    tag_wall_buckets[tag] = buckets
-                                buckets[
-                                    bisect_left(wall_bounds, duration)
-                                ] += 1
                             else:
-                                event.callback()
-                            if run_events % _THROUGHPUT_WINDOW == 0:
-                                wall_now = _time.monotonic()
-                                window = wall_now - window_start
-                                if window > 0 and throughput is not None:
-                                    throughput.record(
-                                        self._now, _THROUGHPUT_WINDOW / window
+                                tag = event.tag or "<untagged>"
+                                tag_counts[tag] = tag_counts.get(tag, 0) + 1
+                                run_events += 1
+                                if profile:
+                                    handler_start = _time.perf_counter()
+                                    event.callback()
+                                    duration = (
+                                        _time.perf_counter() - handler_start
                                     )
-                                window_start = wall_now
+                                    tag_wall[tag] = (
+                                        tag_wall.get(tag, 0.0) + duration
+                                    )
+                                    buckets = tag_wall_buckets.get(tag)
+                                    if buckets is None:
+                                        buckets = [0] * bucket_width
+                                        tag_wall_buckets[tag] = buckets
+                                    buckets[
+                                        bisect_left(wall_bounds, duration)
+                                    ] += 1
+                                else:
+                                    event.callback()
+                                if run_events % _THROUGHPUT_WINDOW == 0:
+                                    wall_now = _time.monotonic()
+                                    window = wall_now - window_start
+                                    if window > 0 and throughput is not None:
+                                        throughput.record(
+                                            self._now,
+                                            _THROUGHPUT_WINDOW / window,
+                                        )
+                                    window_start = wall_now
                         if self._now >= monitor_due:
                             # Paced by the simulated clock but invoked
                             # between callbacks: monitors observe, never
@@ -592,7 +583,7 @@ class Simulator:
                         if self._stopped:
                             break
                 finally:
-                    if index < len(batch):
+                    if index < n:
                         queue.reinject(batch[index:])
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
@@ -617,7 +608,7 @@ class Simulator:
                 if batches:
                     registry.counter("kernel.event_batches").inc(batches)
                     registry.counter("kernel.batched_events").inc(batched_events)
-                elapsed = _time.monotonic() - run_start
+                elapsed = _time.monotonic() - wall_origin
                 if run_events and elapsed > 0:
                     registry.gauge("kernel.events_per_sec").set(
                         run_events / elapsed

@@ -107,3 +107,18 @@ def idle_services(node_id: int) -> NodeServices:
     """Services of a node that never transmits (pure sink/relay-less)."""
     sink = SaturatedSender(node_id, {})
     return sink.services(), sink
+
+
+class RecordingMonitor:
+    """Passive kernel run monitor that records its ticks and aborts."""
+
+    def __init__(self, interval=1.0):
+        self.interval = interval
+        self.ticks = []
+        self.aborts = []
+
+    def on_tick(self, now):
+        self.ticks.append(now)
+
+    def on_abort(self, now, error):
+        self.aborts.append((now, str(error)))

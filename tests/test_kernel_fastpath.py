@@ -1,10 +1,12 @@
-"""Tests for the batched fast-path dispatcher and the tombstone heap.
+"""Tests for the batched dispatch loop and the tombstone heap.
 
-The kernel pops events in batches when no watchdog or observer is
-armed; these tests pin the invariants that keep batched dispatch
-indistinguishable from one-at-a-time dispatch — cancellation inside a
-batch, preemption by newly scheduled higher-priority events, stop and
-exceptions mid-batch, and tombstone compaction bookkeeping.
+``Simulator.run`` always pops events in batches, whatever watchdogs or
+observers are armed; these tests pin the invariants that keep batched
+dispatch indistinguishable from one-at-a-time dispatch — cancellation
+inside a batch, preemption by newly scheduled higher-priority events,
+stop and exceptions mid-batch, and tombstone compaction bookkeeping.
+Each batch-guard test runs twice: on a bare ``run()`` and with every
+watchdog, a monitor and the replay sanitizer armed.
 """
 
 import pytest
@@ -12,72 +14,105 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
+from repro.sim.replay import ReplaySanitizer
+
+from helpers import RecordingMonitor
+
+
+class _Kernel:
+    """Builds and runs a simulator in one configuration."""
+
+    def __init__(self, armed):
+        self.armed = armed
+
+    def __repr__(self):
+        return "armed" if self.armed else "bare"
+
+    def simulator(self):
+        if not self.armed:
+            return Simulator()
+        sim = Simulator(sanitizer=ReplaySanitizer())
+        sim.attach_monitor(RecordingMonitor(interval=0.5))
+        return sim
+
+    def run(self, sim):
+        if not self.armed:
+            return sim.run()
+        return sim.run(stall_limit=10_000, max_events=10**9, wall_deadline=3600.0)
+
+
+#: The batch guards below run in both configurations.
+KERNELS = (_Kernel(armed=False), _Kernel(armed=True))
 
 
 def test_cancel_within_same_time_batch_skips_callback():
-    sim = Simulator()
-    seen = []
-    later = sim.call_at(1.0, lambda: seen.append("b"), priority=1)
+    for kernel in KERNELS:
+        sim = kernel.simulator()
+        seen = []
+        later = sim.call_at(1.0, lambda: seen.append("b"), priority=1)
 
-    def first():
-        seen.append("a")
-        later.cancel()
+        def first():
+            seen.append("a")
+            later.cancel()
 
-    sim.call_at(1.0, first, priority=0)
-    sim.run()
-    assert seen == ["a"]
+        sim.call_at(1.0, first, priority=0)
+        kernel.run(sim)
+        assert seen == ["a"], kernel
 
 
 def test_same_time_lower_priority_event_preempts_batch():
     # A callback that schedules a same-time event with a priority lower
     # than a pending batch member must see the new event dispatched
     # first, exactly as unbatched (time, priority, seq) order demands.
-    sim = Simulator()
-    order = []
+    for kernel in KERNELS:
+        sim = kernel.simulator()
+        order = []
 
-    def first():
-        order.append("a")
-        sim.call_at(1.0, lambda: order.append("c"), priority=1)
+        def first():
+            order.append("a")
+            sim.call_at(1.0, lambda: order.append("c"), priority=1)
 
-    sim.call_at(1.0, first, priority=0)
-    sim.call_at(1.0, lambda: order.append("b"), priority=5)
-    sim.run()
-    assert order == ["a", "c", "b"]
+        sim.call_at(1.0, first, priority=0)
+        sim.call_at(1.0, lambda: order.append("b"), priority=5)
+        kernel.run(sim)
+        assert order == ["a", "c", "b"], kernel
 
 
 def test_stop_mid_batch_preserves_remaining_events():
-    sim = Simulator()
-    seen = []
+    for kernel in KERNELS:
+        sim = kernel.simulator()
+        seen = []
 
-    def first():
-        seen.append("a")
-        sim.stop()
+        def first():
+            seen.append("a")
+            sim.stop()
 
-    sim.call_at(1.0, first, priority=0)
-    sim.call_at(1.0, lambda: seen.append("b"), priority=1)
-    sim.call_at(1.0, lambda: seen.append("c"), priority=2)
-    sim.run()
-    assert seen == ["a"]
-    # The interrupted batch was reinjected; a second run drains it in
-    # the original order.
-    sim.run()
-    assert seen == ["a", "b", "c"]
+        sim.call_at(1.0, first, priority=0)
+        sim.call_at(1.0, lambda: seen.append("b"), priority=1)
+        sim.call_at(1.0, lambda: seen.append("c"), priority=2)
+        kernel.run(sim)
+        assert seen == ["a"], kernel
+        # The interrupted batch was reinjected; a second run drains it
+        # in the original order.
+        kernel.run(sim)
+        assert seen == ["a", "b", "c"], kernel
 
 
 def test_exception_mid_batch_preserves_remaining_events():
-    sim = Simulator()
-    seen = []
+    for kernel in KERNELS:
+        sim = kernel.simulator()
+        seen = []
 
-    def boom():
-        seen.append("a")
-        raise RuntimeError("handler failure")
+        def boom():
+            seen.append("a")
+            raise RuntimeError("handler failure")
 
-    sim.call_at(1.0, boom, priority=0)
-    sim.call_at(1.0, lambda: seen.append("b"), priority=1)
-    with pytest.raises(RuntimeError):
-        sim.run()
-    sim.run()
-    assert seen == ["a", "b"]
+        sim.call_at(1.0, boom, priority=0)
+        sim.call_at(1.0, lambda: seen.append("b"), priority=1)
+        with pytest.raises(RuntimeError):
+            kernel.run(sim)
+        kernel.run(sim)
+        assert seen == ["a", "b"], kernel
 
 
 def test_cancelled_timers_never_fire_under_churn():
@@ -152,8 +187,11 @@ def test_pop_batch_respects_limit_and_horizon():
 
 
 def test_batched_run_counts_every_dispatch():
-    sim = Simulator()
-    for index in range(257):  # spans several batch boundaries
-        sim.call_at(1.0 + index * 1e-6, lambda: None)
-    sim.run()
-    assert sim.events_processed == 257
+    for kernel in KERNELS:
+        sim = kernel.simulator()
+        for index in range(257):  # spans several batch boundaries
+            sim.call_at(1.0 + index * 1e-6, lambda: None)
+        kernel.run(sim)
+        assert sim.events_processed == 257, kernel
+        if kernel.armed:
+            assert sim.sanitizer.events == 257

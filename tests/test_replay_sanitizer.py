@@ -21,7 +21,7 @@ GOLDEN_DIGEST = "947c811581b4d708bff6e41eae6f11ec3c5c7bc6d2a013a4cf76fe688ba9483
 GOLDEN_EVENTS = 42546
 
 
-def _figure3(telemetry=None):
+def _figure3(telemetry=None, **watchdogs):
     sanitizer = ReplaySanitizer()
     result = run_scenario(
         figure3(),
@@ -31,6 +31,7 @@ def _figure3(telemetry=None):
         seed=1,
         telemetry=telemetry,
         sanitizer=sanitizer,
+        **watchdogs,
     )
     return result, sanitizer
 
@@ -45,6 +46,16 @@ def test_golden_digest_plain_and_instrumented():
     instrumented, instrumented_sanitizer = _figure3(Telemetry(profile=True))
     assert instrumented_sanitizer.hexdigest() == GOLDEN_DIGEST
     assert instrumented.extras["events_processed"] == GOLDEN_EVENTS
+
+    # The one dispatch loop gives the same sequence with no watchdog
+    # and with every watchdog armed.
+    for watchdogs in (
+        {"stall_limit": None},
+        {"max_events": 10**9, "wall_deadline": 3600.0},
+    ):
+        watched, watched_sanitizer = _figure3(**watchdogs)
+        assert watched_sanitizer.hexdigest() == GOLDEN_DIGEST, watchdogs
+        assert watched.extras["events_processed"] == GOLDEN_EVENTS
 
 
 def test_sanitized_run_is_unperturbed():

@@ -1,9 +1,13 @@
 """Unit tests for the simulation kernel and timers."""
 
+import time
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
+
+from helpers import RecordingMonitor
 
 
 def test_run_advances_clock_to_until():
@@ -90,6 +94,8 @@ def test_events_processed_counts_dispatches():
     sim = Simulator()
     for _ in range(5):
         sim.call_later(1.0, lambda: None)
+    sim.call_later(1.5, lambda: None).cancel()
+    assert sim.pending_events == 5  # a cancelled event is not pending
     sim.run(until=2.0)
     assert sim.events_processed == 5
 
@@ -160,6 +166,27 @@ def test_stall_detector_catches_zero_delay_loop_and_names_tag():
     assert "t=1" in message
 
 
+def test_stall_message_counts_interleaved_loops_and_one_shots():
+    sim = Simulator()
+
+    def loop(tag):
+        def fire():
+            sim.call_later(0.0, fire, tag=tag)
+
+        return fire
+
+    sim.call_at(1.0, loop("mac.retry"), tag="mac.retry")
+    sim.call_at(1.0, loop("gmp.probe"), tag="gmp.probe")
+    for _ in range(3):
+        sim.call_at(1.0, lambda: None, tag="once")
+    with pytest.raises(SimulationError) as excinfo:
+        sim.run(until=10.0, stall_limit=500)
+    assert str(excinfo.value) == (
+        "simulated clock stalled at t=1.000000000: 501 events without "
+        "advancing; offending tags: mac.retry x249, gmp.probe x249, once x3"
+    )
+
+
 def test_stall_detector_tolerates_bursts_below_limit():
     sim = Simulator()
     seen = []
@@ -190,6 +217,22 @@ def test_wall_deadline_trips_on_event_storm():
     with pytest.raises(SimulationError) as excinfo:
         sim.run(until=1e6, wall_deadline=0.05)
     assert "wall-clock deadline" in str(excinfo.value)
+
+
+def test_wall_deadline_overshoot_is_bounded_by_one_batch():
+    # Slow handlers that each schedule the next: the deadline is checked
+    # before every batch, so the run trips within one batch of events.
+    sim = Simulator()
+
+    def slow():
+        time.sleep(0.005)
+        sim.call_later(1e-3, slow)
+
+    sim.call_later(0.0, slow)
+    with pytest.raises(SimulationError) as excinfo:
+        sim.run(until=1e6, wall_deadline=0.05)
+    assert "wall-clock deadline" in str(excinfo.value)
+    assert sim.events_processed <= 128
 
 
 def test_watchdog_parameters_validated():
@@ -283,22 +326,9 @@ def test_timer_callback_exception_leaves_kernel_defined():
 # ------------------------------------------------------------ run monitors
 
 
-class _RecordingMonitor:
-    def __init__(self, interval=1.0):
-        self.interval = interval
-        self.ticks = []
-        self.aborts = []
-
-    def on_tick(self, now):
-        self.ticks.append(now)
-
-    def on_abort(self, now, error):
-        self.aborts.append((now, str(error)))
-
-
 def test_monitor_ticks_once_per_interval_crossing():
     sim = Simulator()
-    monitor = _RecordingMonitor(interval=1.0)
+    monitor = RecordingMonitor(interval=1.0)
     sim.attach_monitor(monitor)
     stop = sim.every(0.25, lambda: None)
     sim.run(until=5.0)
@@ -309,7 +339,7 @@ def test_monitor_ticks_once_per_interval_crossing():
 
 def test_monitor_sparse_schedule_has_no_catchup_storm():
     sim = Simulator()
-    monitor = _RecordingMonitor(interval=1.0)
+    monitor = RecordingMonitor(interval=1.0)
     sim.attach_monitor(monitor)
     fired = []
     sim.call_at(10.0, lambda: fired.append(sim.now))
@@ -323,12 +353,12 @@ def test_monitor_sparse_schedule_has_no_catchup_storm():
 def test_monitor_rejects_nonpositive_interval():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.attach_monitor(_RecordingMonitor(interval=0.0))
+        sim.attach_monitor(RecordingMonitor(interval=0.0))
 
 
 def test_watchdog_abort_notifies_monitors_before_raising():
     sim = Simulator()
-    monitor = _RecordingMonitor(interval=1.0)
+    monitor = RecordingMonitor(interval=1.0)
     sim.attach_monitor(monitor)
     stop = sim.every(0.1, lambda: None)
     with pytest.raises(SimulationError):
@@ -340,7 +370,7 @@ def test_watchdog_abort_notifies_monitors_before_raising():
 
 
 def test_failing_abort_hook_never_masks_the_watchdog():
-    class ExplodingMonitor(_RecordingMonitor):
+    class ExplodingMonitor(RecordingMonitor):
         def on_abort(self, now, error):
             raise RuntimeError("flush failed")
 
@@ -357,7 +387,7 @@ def test_monitor_is_absent_from_the_event_sequence():
     def digest(with_monitor):
         sim = Simulator(sanitizer=ReplaySanitizer())
         if with_monitor:
-            sim.attach_monitor(_RecordingMonitor(interval=0.5))
+            sim.attach_monitor(RecordingMonitor(interval=0.5))
         stop = sim.every(0.25, lambda: None)
         sim.run(until=5.0)
         stop()
